@@ -2,16 +2,10 @@ package repro.bench
 
 import repro.SparkSpec
 
-/** Base for the benchmark suites: one shared SparkSession, fewer shuffle
-  * partitions (bench inputs are ~10⁵ rows; 64 shuffle partitions would be
-  * pure overhead), and a banner helper so `bench_output.txt` is readable.
+/** Base for the benchmark suites: one shared SparkSession and a banner
+  * helper so `bench_output.txt` is readable.
   */
 trait BenchSpec extends SparkSpec {
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-  }
 
   def banner(title: String): Unit = {
     println()

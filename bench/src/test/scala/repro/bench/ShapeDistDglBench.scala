@@ -86,7 +86,7 @@ class ShapeDistDglBench extends BenchSpec {
     val speed = scala.collection.mutable.Map.empty[(String, String, Int), Double]
     for (g <- graphs; a <- algos.drop(1)) {
       val row = Experiments.machineCounts.map { k =>
-        val s = Tables.distDglSpeedup(spark, g, a, k)
+        val s = Tables.meanSpeedup(Tables.table5Grid, Tables.distDglEpochTime(spark, _, _, _, _), g, a, k)
         speed((g, a, k)) = s
         f"$s%6.2f "
       }

@@ -111,7 +111,7 @@ class ShapeDistGnnBench extends BenchSpec {
     val speed = scala.collection.mutable.Map.empty[(String, String, Int), Double]
     for (g <- graphs; a <- algos.drop(1)) {
       val row = Experiments.machineCounts.map { k =>
-        val s = Tables.distGnnSpeedup(spark, g, a, k)
+        val s = Tables.meanSpeedup(Tables.table4Grid, Tables.distGnnEpochTime(spark, _, _, _, _), g, a, k)
         speed((g, a, k)) = s
         f"$s%6.2f "
       }

@@ -19,7 +19,7 @@ class Table4DistGnnAmortBench extends BenchSpec {
   test("Table 4: partitioning amortizes within a few epochs for DistGNN") {
     val t = Tables.table4(spark)
     banner("Table 4: epochs to amortize partitioning (DistGNN)")
-    println(Tables.renderTable4(t))
+    println(Tables.renderAmortizationTable(Datasets.distGnnKeys, Tables.table4Algos, t))
 
     def v(g: String, a: String): Option[Double] = t((g, a))
 
@@ -64,8 +64,7 @@ class Table4DistGnnAmortBench extends BenchSpec {
     val g = "EN"
     val k = 8
     val tPart = repro.harness.Experiments.edgeRun(spark, g, "DBH", k).partTime
-    val grid = repro.gnn.GnnConfig.grid("GraphSage")
-    val pairs = grid.map { p =>
+    val pairs = Tables.table4Grid.map { p =>
       (Tables.distGnnEpochTime(spark, g, "Random", k, p),
        Tables.distGnnEpochTime(spark, g, "DBH", k, p))
     }

@@ -19,7 +19,7 @@ class Table5DistDglAmortBench extends BenchSpec {
   test("Table 5: amortization ordering LDG < ByteGNN < Metis < Spinner < KaHIP") {
     val t = Tables.table5(spark)
     banner("Table 5: epochs to amortize partitioning (DistDGL)")
-    println(Tables.renderTable5(t))
+    println(Tables.renderAmortizationTable(Datasets.distDglKeys, Tables.table5Algos, t))
 
     def v(g: String, a: String): Option[Double] = t((g, a))
     def mean(a: String): Double = {

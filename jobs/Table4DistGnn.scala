@@ -1,5 +1,6 @@
 package repro.jobs
 
+import repro.graph.Datasets
 import repro.harness.Tables
 
 /** spark-submit entrypoint: reproduce Table 4 — epochs until the
@@ -9,7 +10,7 @@ object Table4DistGnn {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("Table4DistGnn")
     println("=== Table 4: epochs to amortize partitioning (DistGNN, full-batch GraphSage) ===")
-    println(Tables.renderTable4(Tables.table4(spark)))
+    println(Tables.renderAmortizationTable(Datasets.distGnnKeys, Tables.table4Algos, Tables.table4(spark)))
     spark.stop()
   }
 }

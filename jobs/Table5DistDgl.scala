@@ -1,5 +1,6 @@
 package repro.jobs
 
+import repro.graph.Datasets
 import repro.harness.Tables
 
 /** spark-submit entrypoint: reproduce Table 5 — epochs until the
@@ -9,7 +10,7 @@ object Table5DistDgl {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("Table5DistDgl")
     println("=== Table 5: epochs to amortize partitioning (DistDGL, mini-batch GraphSage) ===")
-    println(Tables.renderTable5(Tables.table5(spark)))
+    println(Tables.renderAmortizationTable(Datasets.distDglKeys, Tables.table5Algos, Tables.table5(spark)))
     spark.stop()
   }
 }

@@ -43,6 +43,15 @@ object DistDglSim {
     */
   private val tSampleEdge = 1.0e-6
 
+  /** One worker's simulated seconds per phase and network bytes in a step. */
+  private final case class WorkerStep(
+      sampling: Double,
+      fetch: Double,
+      forward: Double,
+      backward: Double,
+      netBytes: Double,
+  )
+
   def epoch(
       samples: Seq[WorkerSample],
       p: GnnParams,
@@ -70,19 +79,19 @@ object DistDglSim {
       val forward = fwdFlops / CostModel.flopsRate
       val backward = 2.0 * forward
       val netBytes = s.remoteInputVerts.toDouble * p.featureSize * CostModel.bytesPerFloat
-      (sampling, fetch, forward, backward, netBytes)
+      WorkerStep(sampling, fetch, forward, backward, netBytes)
     }
 
-    val allReduce = CostModel.allReduceTime(p.modelParams, k)
+    val allReduce = CostModel.allReduceTime(p.modelParams)
     val modelUpdate = p.modelParams * 10.0 / CostModel.flopsRate
 
     // straggler per phase group: workers proceed in lock-step; the slowest
     // sampling+fetch+forward chain gates the backward all-reduce
-    val fwdChain = perWorker.map(w => w._1 + w._2 + w._3).max
-    val samplingStraggler = perWorker.map(_._1).max
-    val fetchStraggler = perWorker.map(_._2).max
-    val forwardStraggler = perWorker.map(_._3).max
-    val backwardStraggler = perWorker.map(_._4).max + allReduce
+    val fwdChain = perWorker.map(w => w.sampling + w.fetch + w.forward).max
+    val samplingStraggler = perWorker.map(_.sampling).max
+    val fetchStraggler = perWorker.map(_.fetch).max
+    val forwardStraggler = perWorker.map(_.forward).max
+    val backwardStraggler = perWorker.map(_.backward).max + allReduce
     val stepTime = fwdChain + backwardStraggler + modelUpdate
 
     val steps = math.max(1, math.ceil(totalTrainVerts.toDouble / gbs).toInt)
@@ -102,7 +111,7 @@ object DistDglSim {
         backward = steps * backwardStraggler,
         modelUpdate = steps * modelUpdate,
       ),
-      totalNetworkBytes = steps * (perWorker.map(_._5).sum + 2.0 * p.modelParams * CostModel.bytesPerFloat * k),
+      totalNetworkBytes = steps * (perWorker.map(_.netBytes).sum + 2.0 * p.modelParams * CostModel.bytesPerFloat * k),
       remoteInputVerts = samples.map(_.remoteInputVerts).sum,
       inputVertexBalance = inputBalance,
     )

@@ -15,11 +15,18 @@ object SampleOrder {
   val Mod = 999983L
   val Mult = 40499L
 
-  def key(v: Long, seed: Long): Long =
-    (((v + seed * 7919L) * Mult) % Mod + Mod) % Mod
+  /** seed·7919 reduced mod Mod: the key only depends on it mod Mod, and a
+    * reduced term keeps (v + term)·Mult inside a long for any seed.
+    */
+  def seedTerm(seed: Long): Long = Math.floorMod(seed, Mod) * 7919L % Mod
+
+  /** [[key]] with the seed term computed once by the caller. */
+  def keyOf(v: Long, term: Long): Long = (((v + term) * Mult) % Mod + Mod) % Mod
+
+  def key(v: Long, seed: Long): Long = keyOf(v, seedTerm(seed))
 
   def col(v: Column, seed: Long): Column =
-    pmod((v + lit(seed * 7919L)) * Mult, lit(Mod))
+    pmod((v + lit(seedTerm(seed))) * Mult, lit(Mod))
 }
 
 /** Driver-side twin of [[Sampler.sampleStep]] over the CSR graph — same
@@ -48,7 +55,8 @@ object FastSampler {
     (0 until k).map { w =>
       // roots: local training vertices, ordered by the shared key
       val local = (0 until cg.numVertices).filter(v => assign(v) == w && trainMask(v))
-      val roots = local.sortBy(v => (SampleOrder.key(v.toLong, seed), v.toLong)).take(perWorker)
+      val rootTerm = SampleOrder.seedTerm(seed)
+      val roots = local.sortBy(v => (SampleOrder.keyOf(v.toLong, rootTerm), v.toLong)).take(perWorker)
 
       var frontier: Seq[Int] = roots
       val frontierSizes = scala.collection.mutable.ArrayBuffer[Long](roots.size.toLong)
@@ -57,6 +65,7 @@ object FastSampler {
       val visited = scala.collection.mutable.Set.empty[Int] ++ roots
 
       fanouts.zipWithIndex.foreach { case (fanout, t) =>
+        val term = SampleOrder.seedTerm(seed + t + 1)
         remoteExpanded += frontier.count(v => assign(v) != w)
         var edges = 0L
         val next = scala.collection.mutable.Set.empty[Int]
@@ -66,7 +75,7 @@ object FastSampler {
           val sampled =
             if (nbrs.size <= fanout) nbrs
             else nbrs
-              .sortBy(n => (SampleOrder.key(n.toLong, seed + t + 1), n.toLong))
+              .sortBy(n => (SampleOrder.keyOf(n.toLong, term), n.toLong))
               .take(fanout)
           edges += sampled.size
           next ++= sampled

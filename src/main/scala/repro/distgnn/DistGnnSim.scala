@@ -63,7 +63,7 @@ object DistGnnSim {
         memoryBytes = mem,
       )
     }
-    val modelSync = CostModel.allReduceTime(p.modelParams, q.k)
+    val modelSync = CostModel.allReduceTime(p.modelParams)
     val straggler = machines.map(m => m.computeTime + m.commTime).max
     val fwdShare = 1.0 / 3.0 // forward is ~1/3 of compute, backward ~2/3
     val mems = machines.map(_.memoryBytes)

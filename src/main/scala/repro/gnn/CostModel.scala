@@ -66,15 +66,19 @@ object CostModel {
     "KaHIP" -> 2.4,
   )
 
-  /** Simulated partitioning time (s) from the counted work. */
+  /** Simulated partitioning time (s) from the counted work; rejects an
+    * algorithm without a calibration multiplier.
+    */
   def partitioningTime(algo: String, cost: PartitionCost): Double = {
+    val mult =
+      algoMult.getOrElse(algo, throw new IllegalArgumentException(s"no cost multiplier for partitioner $algo"))
     val raw = cost.edgesStreamed * tStream + cost.scoreEvals * tScore + cost.heavyOps * tHeavy
-    raw * algoMult.getOrElse(algo, 1.0)
+    raw * mult
   }
 
   /** Ring all-reduce time for `params` floats: each machine sends and
     * receives ~2·params·4 bytes regardless of k (bandwidth-optimal ring).
     */
-  def allReduceTime(params: Long, k: Int): Double =
+  def allReduceTime(params: Long): Double =
     2.0 * params * bytesPerFloat / netBandwidth
 }

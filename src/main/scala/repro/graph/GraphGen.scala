@@ -129,6 +129,9 @@ object GraphGen {
       seed: Long,
   ): Graph = {
     val numV = rows * cols
+    // seed·7919 reduced mod the prime before the hash multiplies it: the
+    // hash only depends on it mod the prime, and no seed can overflow
+    val seedTerm = Math.floorMod(seed, 999983L) * 7919L % 999983L
     val ids = spark.range(numV).toDF("vid")
     val right = ids
       .filter(pmod(col("vid"), lit(cols)) =!= (cols - 1))
@@ -138,7 +141,7 @@ object GraphGen {
       .select(col("vid") as "src", (col("vid") + cols) as "dst")
     val diag = ids
       .filter(pmod(col("vid"), lit(cols)) =!= (cols - 1) && col("vid") < (rows - 1) * cols)
-      .withColumn("h", pmod((col("vid") + lit(seed * 7919L)) * 40499L, lit(999983L)))
+      .withColumn("h", pmod((col("vid") + lit(seedTerm)) * 40499L, lit(999983L)))
       .orderBy("h", "vid")
       .limit(extra.toInt)
       .select(col("vid") as "src", (col("vid") + cols + 1) as "dst")

@@ -45,7 +45,6 @@ object Experiments {
   val defaultGbs: Int = 64
 
   private val graphCache = TrieMap.empty[String, (Graph, CompactGraph)]
-  private val adjCache = TrieMap.empty[String, DataFrame]
   private val maskCache = TrieMap.empty[String, Array[Boolean]]
   private val edgeRunCache = TrieMap.empty[(String, String, Int), EdgeRun]
   private val vertexRunCache = TrieMap.empty[(String, String, Int), VertexRun]
@@ -56,15 +55,6 @@ object Experiments {
       val g = Datasets.load(spark, key, scale)
       g.edges.cache().count()
       (g, g.compact())
-    })
-
-  /** Cached message adjacency of a graph (persisted in Spark). */
-  def adjacency(spark: SparkSession, key: String): DataFrame =
-    adjCache.getOrElseUpdate(key, {
-      val (g, _) = graph(spark, key)
-      val adj = GraphOps.adjacency(g).cache()
-      adj.count()
-      adj
     })
 
   def trainMask(spark: SparkSession, key: String): Array[Boolean] =

@@ -79,10 +79,7 @@ object PartitionMetrics {
         r.getAs[Long]("syncVerts"),
       )
     }.toSeq
-    // empty partitions still count toward the balance denominators
-    val present = loads0.map(_.part).toSet
-    val loads = (loads0 ++ (0 until k).filterNot(present).map(p => EdgePartLoad(p, 0, 0, 0)))
-      .sortBy(_.part)
+    val loads = withEmptyParts(loads0, k)(_.part, EdgePartLoad(_, 0, 0, 0))
     val sumV = loads.map(_.verts).sum
     EdgeCutQuality(
       k = k,
@@ -135,9 +132,7 @@ object PartitionMetrics {
         r.getAs[Long]("localEdges"),
       )
     }.toSeq
-    val present = loads0.map(_.part).toSet
-    val loads = (loads0 ++ (0 until k).filterNot(present).map(p => VertexPartLoad(p, 0, 0, 0)))
-      .sortBy(_.part)
+    val loads = withEmptyParts(loads0, k)(_.part, VertexPartLoad(_, 0, 0, 0))
     VertexCutQuality(
       k = k,
       numVertices = g.numVertices,
@@ -147,6 +142,15 @@ object PartitionMetrics {
       trainVertexBalance = balance(loads.map(_.trainVerts)),
       perPart = loads,
     )
+  }
+
+  /** `loads` plus an empty load for each of the k partitions it lacks, in
+    * partition order: empty partitions still count toward the balance
+    * denominators.
+    */
+  private def withEmptyParts[L](loads: Seq[L], k: Int)(part: L => Int, empty: Int => L): Seq[L] = {
+    val present = loads.map(part).toSet
+    (loads ++ (0 until k).filterNot(present).map(empty)).sortBy(part)
   }
 
   /** max / mean — 1.0 is perfectly balanced. */

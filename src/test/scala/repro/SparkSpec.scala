@@ -23,8 +23,10 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
+      // test and bench inputs are at most ~10⁵ rows; more shuffle
+      // partitions would only add per-task overhead
       .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

@@ -64,6 +64,14 @@ class SamplerSpec extends SparkSpec {
     assert(a === b)
   }
 
+  test("SampleOrder: key equals col, and depends on seed mod Mod, at a seed of 10^12") {
+    val seed = 1000000000000L
+    val cols = spark.range(500).select(SampleOrder.col(col("id"), seed)).collect().map(_.getLong(0)).toSeq
+    val keys = (0L until 500L).map(SampleOrder.key(_, seed))
+    assert(cols === keys)
+    assert(keys === (0L until 500L).map(SampleOrder.key(_, seed % SampleOrder.Mod)))
+  }
+
   test("different seeds draw different batches") {
     val (g, _, _, vdf, adj) = setup(4)
     // selective fanouts so different neighbor draws change the distinct

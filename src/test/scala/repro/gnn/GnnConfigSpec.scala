@@ -1,7 +1,7 @@
 package repro.gnn
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.partition.PartitionCost
+import repro.partition.{PartitionCost, Partitioners}
 
 class GnnConfigSpec extends AnyFunSuite {
 
@@ -59,8 +59,14 @@ class GnnConfigSpec extends AnyFunSuite {
     assert(CostModel.partitioningTime("KaHIP", c) > 10 * CostModel.partitioningTime("Metis", c))
   }
 
+  test("partitioning time: every study partitioner has a multiplier, an unknown name throws") {
+    val c = PartitionCost(edgesStreamed = 1000)
+    for (name <- Partitioners.edgePartitioners.map(_.name) ++ Partitioners.vertexPartitioners.map(_.name))
+      assert(CostModel.partitioningTime(name, c) > 0, name)
+    intercept[IllegalArgumentException] { CostModel.partitioningTime("NoSuchPartitioner", c) }
+  }
+
   test("all-reduce time grows with params and is k-independent (ring)") {
-    assert(CostModel.allReduceTime(1000000, 4) > CostModel.allReduceTime(1000, 4))
-    assert(CostModel.allReduceTime(1000000, 32) === CostModel.allReduceTime(1000000, 4))
+    assert(CostModel.allReduceTime(1000000) > CostModel.allReduceTime(1000))
   }
 }

@@ -66,6 +66,13 @@ class GraphGenSpec extends SparkSpec {
     assert(g.numEdges === 2 * 10 * 10 - 10 - 10)
   }
 
+  test("grid: a seed whose seed·7919·40499 overflows a long gives the graph of seed mod 999983") {
+    val seed = 40000000000L
+    val a = GraphGen.grid(spark, "G", 10, 10, 20, directed = true, seed = seed)
+    val b = GraphGen.grid(spark, "G", 10, 10, 20, directed = true, seed = seed % 999983L)
+    assert(a.edges.except(b.edges).count() === 0 && a.numEdges === b.numEdges)
+  }
+
   test("grid: vertex ids dense") {
     val (g, _) = TestGraphs.smallGrid(spark)
     val mm = g.edges.agg(max(greatest(col("src"), col("dst")))).head().getLong(0)
