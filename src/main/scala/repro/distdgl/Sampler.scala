@@ -1,9 +1,9 @@
 package repro.distdgl
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.graph.{Graph, GraphOps}
+import repro.graph.GraphOps
 
 /** Measured mini-batch sample of one worker in one training step.
   *
@@ -45,15 +45,12 @@ object Sampler {
     * @param gbs      global batch size; each worker draws ≈ gbs/k roots
     */
   def sampleStep(
-      g: Graph,
-      spark: SparkSession,
       adj: DataFrame,
       vertexDf: DataFrame,
       k: Int,
       fanouts: Seq[Int],
       gbs: Int,
       seed: Long,
-      splitSeed: Int = 42,
   ): Seq[WorkerSample] = {
     val perWorker = math.max(1, gbs / k)
     val owners = vertexDf.select(col("vid") as "v", col("part") as "owner")
@@ -61,10 +58,8 @@ object Sampler {
     // batch roots: per worker, a seeded draw of local training vertices.
     // The ordering key is the shared arithmetic mix (same as FastSampler,
     // which must make identical decisions — tested for equality).
-    val roots = GraphOps
-      .split(g, spark, splitSeed)
-      .filter(col("role") === "train")
-      .join(vertexDf, "vid")
+    val roots = vertexDf
+      .filter(GraphOps.isTrain(col("vid")))
       .select(col("part") as "worker", col("vid") as "v")
       .withColumn("rn", row_number().over(
         Window.partitionBy("worker").orderBy(SampleOrder.col(col("v"), seed), col("v"))))

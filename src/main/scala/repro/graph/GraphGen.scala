@@ -3,6 +3,7 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import scala.collection.mutable.ArrayBuffer
 
 /** Synthetic graph generators, all deterministic in their seed.
   *
@@ -97,18 +98,19 @@ object GraphGen {
           greatest(col("a"), col("b")) as "dst",
         )
     }
-    var edges = chunk(seed, (numE * 1.5).toLong).dropDuplicates("src", "dst").cache()
-    var have = edges.count()
-    var round = 1
-    while (have < numE && round < 8) {
-      edges = edges
-        .union(chunk(seed + 1000L * round, (numE * 1.5).toLong))
+    val rounds = ArrayBuffer(chunk(seed, (numE * 1.5).toLong).dropDuplicates("src", "dst").cache())
+    var have = rounds.last.count()
+    while (have < numE && rounds.size < 8) {
+      rounds += rounds.last
+        .union(chunk(seed + 1000L * rounds.size, (numE * 1.5).toLong))
         .dropDuplicates("src", "dst")
         .cache()
-      have = edges.count()
-      round += 1
+      have = rounds.last.count()
     }
-    val trimmed = edges.orderBy("src", "dst").limit(numE.toInt).cache()
+    val trimmed = rounds.last.orderBy("src", "dst").limit(numE.toInt).cache()
+    // once trimmed is materialized it no longer reads the rounds
+    trimmed.count()
+    rounds.foreach(_.unpersist(blocking = true))
     Graph(name, gtype, directed, numV, trimmed)
   }
 

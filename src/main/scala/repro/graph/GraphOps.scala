@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** DataFrame-level graph operations shared by metrics, sampling, and the
@@ -32,25 +32,32 @@ object GraphOps {
     else in.union(g.edges.select(col("src") as "v", col("dst") as "nbr"))
   }
 
+  /** Seed of the split hash. It is fixed, so the metrics, the samplers and
+    * the partitioners all see the same training vertices.
+    */
+  private val SplitSeed = 42
+
+  /** Split bucket in [0, 10) of a vertex id: a seeded hash of the id. */
+  private def bucket(vid: Column): Column = pmod(hash(vid, lit(SplitSeed)), lit(10))
+
+  /** Whether vertex `vid` is a training vertex (bucket 0 of the split). */
+  def isTrain(vid: Column): Column = bucket(vid) === 0
+
   /** The paper's split: 10% train / 10% val / 80% test, chosen by a seeded
     * hash of the vertex id. Returns `(vid, role)` with role in
     * {train, val, test}.
     */
-  def split(g: Graph, spark: SparkSession, seed: Int = 42): DataFrame = {
-    val bucket = pmod(hash(col("vid"), lit(seed)), lit(10))
+  def split(g: Graph, spark: SparkSession): DataFrame = {
+    val vid = col("vid")
     g.vertices(spark)
-      .select(
-        col("vid"),
-        when(bucket === 0, "train").when(bucket === 1, "val").otherwise("test") as "role",
-      )
+      .select(vid, when(isTrain(vid), "train").when(bucket(vid) === 1, "val").otherwise("test") as "role")
   }
 
   /** Train-vertex flags as a driver array (for ByteGNN-style partitioning). */
-  def trainMask(g: Graph, spark: SparkSession, seed: Int = 42): Array[Boolean] = {
+  def trainMask(g: Graph, spark: SparkSession): Array[Boolean] = {
     val mask = new Array[Boolean](g.numVertices.toInt)
-    split(g, spark, seed)
-      .filter(col("role") === "train")
-      .select("vid")
+    g.vertices(spark)
+      .filter(isTrain(col("vid")))
       .collect()
       .foreach(r => mask(r.getLong(0).toInt) = true)
     mask

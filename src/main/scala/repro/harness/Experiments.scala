@@ -1,7 +1,7 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.distdgl.{Sampler, WorkerSample}
+import org.apache.spark.sql.SparkSession
+import repro.distdgl.WorkerSample
 import repro.gnn.CostModel
 import repro.graph._
 import repro.metrics._
@@ -23,7 +23,6 @@ final case class VertexRun(
     k: Int,
     quality: VertexCutQuality,
     partTime: Double,
-    assignDf: DataFrame,
     assign: Array[Int],
 )
 
@@ -80,8 +79,8 @@ object Experiments {
     })
 
   /** Partition `key` with the named vertex partitioner into k parts and
-    * measure quality with Spark; memoized. The assignment DataFrame is
-    * cached for reuse by the sampler.
+    * measure quality with Spark; memoized. The sampler reads the
+    * assignment array, so the assignment DataFrame is released once scored.
     */
   def vertexRun(spark: SparkSession, key: String, algo: String, k: Int): VertexRun =
     vertexRunCache.getOrElseUpdate((key, algo, k), {
@@ -91,7 +90,8 @@ object Experiments {
       val df = PartitionBridge.vertexDf(spark, res.part).cache()
       df.count()
       val q = PartitionMetrics.vertexCutQuality(g, spark, df, k)
-      VertexRun(key, algo, k, q, CostModel.partitioningTime(algo, res.cost), df, res.part)
+      df.unpersist()
+      VertexRun(key, algo, k, q, CostModel.partitioningTime(algo, res.cost), res.part)
     })
 
   /** One sampled synchronous step for every worker; memoized per

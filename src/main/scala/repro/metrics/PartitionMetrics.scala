@@ -1,6 +1,7 @@
 package repro.metrics
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.graph.{Graph, GraphOps}
 
@@ -37,102 +38,70 @@ final case class VertexCutQuality(
     perPart: Seq[VertexPartLoad],
 )
 
-/** Partition-quality metrics, computed with Spark SQL aggregations over the
-  * assignment DataFrames (`(src, dst, part)` for edge partitionings,
-  * `(vid, part)` for vertex partitionings). Every metric here has a DuckDB
-  * oracle test.
+/** Partition-quality metrics. Spark aggregates the assignment DataFrame
+  * (`(src, dst, part)` for edge partitionings, `(vid, part)` for vertex
+  * partitionings) to one row per non-empty part: one collect for an edge
+  * partitioning, two for a vertex partitioning. The driver fills the rows
+  * into parts `0 until k`, so empty parts count toward the balance
+  * denominators. The per-part loads of both have a DuckDB oracle test.
   */
 object PartitionMetrics {
 
-  /** Covered vertices per partition: `(part, vid)` distinct. */
-  def covers(edgeDf: DataFrame): DataFrame =
-    edgeDf
+  /** Metrics of an edge partitioning (vertex-cut). Each edge puts both its
+    * ends into its part, so a part holds half its ends as edges. A part
+    * covers the vertices with ≥ 1 end in it, and a vertex's copy count is
+    * the number of parts covering it.
+    */
+  def edgeCutQuality(g: Graph, edgeDf: DataFrame, k: Int): EdgeCutQuality = {
+    val rows = edgeDf
       .select(col("part"), col("src") as "vid")
       .union(edgeDf.select(col("part"), col("dst") as "vid"))
-      .distinct()
-
-  /** Metrics of an edge partitioning (vertex-cut). */
-  def edgeCutQuality(g: Graph, edgeDf: DataFrame, k: Int): EdgeCutQuality = {
-    val cov = covers(edgeDf).cache()
-    val copies = cov.groupBy("vid").agg(count(lit(1)) as "r")
-    val perPartRows = edgeDf
+      .groupBy("vid", "part")
+      .agg(count(lit(1)) as "ends")
+      .withColumn("copies", count(lit(1)).over(Window.partitionBy("vid")))
       .groupBy("part")
-      .agg(count(lit(1)) as "edges")
-      .join(cov.groupBy("part").agg(count(lit(1)) as "verts"), Seq("part"), "outer")
-      .join(
-        cov
-          .join(copies.filter(col("r") >= 2), Seq("vid"))
-          .groupBy("part")
-          .agg(count(lit(1)) as "syncVerts"),
-        Seq("part"),
-        "outer",
-      )
-      .na
-      .fill(0L)
+      .agg(sum("ends") as "ends", count(lit(1)) as "verts", count_if(col("copies") >= 2) as "syncVerts")
       .collect()
-    cov.unpersist()
-    val loads0 = perPartRows.map { r =>
-      EdgePartLoad(
-        r.getAs[Int]("part"),
-        r.getAs[Long]("edges"),
-        r.getAs[Long]("verts"),
-        r.getAs[Long]("syncVerts"),
-      )
-    }.toSeq
-    val loads = withEmptyParts(loads0, k)(_.part, EdgePartLoad(_, 0, 0, 0))
-    val sumV = loads.map(_.verts).sum
+      .map(r => r.getInt(0) -> EdgePartLoad(r.getInt(0), r.getLong(1) / 2, r.getLong(2), r.getLong(3)))
+      .toMap
+    val loads = (0 until k).map(p => rows.getOrElse(p, EdgePartLoad(p, 0, 0, 0)))
     EdgeCutQuality(
       k = k,
       numVertices = g.numVertices,
       numEdges = loads.map(_.edges).sum,
-      replicationFactor = sumV.toDouble / g.numVertices,
+      replicationFactor = loads.map(_.verts).sum.toDouble / g.numVertices,
       edgeBalance = balance(loads.map(_.edges)),
       vertexBalance = balance(loads.map(_.verts)),
       perPart = loads,
     )
   }
 
-  /** Metrics of a vertex partitioning (edge-cut). */
-  def vertexCutQuality(
-      g: Graph,
-      spark: SparkSession,
-      vertexDf: DataFrame,
-      k: Int,
-      splitSeed: Int = 42,
-  ): VertexCutQuality = {
-    val sp = vertexDf.withColumnRenamed("vid", "src").withColumnRenamed("part", "psrc")
-    val dp = vertexDf.withColumnRenamed("vid", "dst").withColumnRenamed("part", "pdst")
-    val edgesP = g.edges.join(sp, "src").join(dp, "dst").cache()
-    val numE = edgesP.count()
-    val cut = edgesP.filter(col("psrc") =!= col("pdst")).count()
-    val localEdges = edgesP
-      .filter(col("psrc") === col("pdst"))
-      .groupBy(col("psrc") as "part")
-      .agg(count(lit(1)) as "localEdges")
-    val train = GraphOps
-      .split(g, spark, splitSeed)
-      .filter(col("role") === "train")
-      .join(vertexDf, "vid")
+  /** Metrics of a vertex partitioning (edge-cut). Training vertices follow
+    * [[GraphOps.isTrain]], so `spark` is unused; it stays in the signature
+    * that the harness and the benchmark call.
+    */
+  def vertexCutQuality(g: Graph, spark: SparkSession, vertexDf: DataFrame, k: Int): VertexCutQuality = {
+    val verts = vertexDf
       .groupBy("part")
-      .agg(count(lit(1)) as "trainVerts")
-    val perPartRows = vertexDf
-      .groupBy("part")
-      .agg(count(lit(1)) as "verts")
-      .join(train, Seq("part"), "outer")
-      .join(localEdges, Seq("part"), "outer")
-      .na
-      .fill(0L)
+      .agg(count(lit(1)) as "verts", count_if(GraphOps.isTrain(col("vid"))) as "trainVerts")
       .collect()
-    edgesP.unpersist()
-    val loads0 = perPartRows.map { r =>
-      VertexPartLoad(
-        r.getAs[Int]("part"),
-        r.getAs[Long]("verts"),
-        r.getAs[Long]("trainVerts"),
-        r.getAs[Long]("localEdges"),
-      )
-    }.toSeq
-    val loads = withEmptyParts(loads0, k)(_.part, VertexPartLoad(_, 0, 0, 0))
+      .map(r => r.getInt(0) -> (r.getLong(1), r.getLong(2)))
+      .toMap
+    // per source part: all edges leaving it, and those staying inside it
+    val edges = g.edges
+      .join(vertexDf.select(col("vid") as "src", col("part") as "psrc"), "src")
+      .join(vertexDf.select(col("vid") as "dst", col("part") as "pdst"), "dst")
+      .groupBy("psrc")
+      .agg(count(lit(1)) as "edges", count_if(col("psrc") === col("pdst")) as "localEdges")
+      .collect()
+      .map(r => r.getInt(0) -> (r.getLong(1), r.getLong(2)))
+      .toMap
+    val loads = (0 until k).map { p =>
+      val (v, t) = verts.getOrElse(p, (0L, 0L))
+      VertexPartLoad(p, v, t, edges.getOrElse(p, (0L, 0L))._2)
+    }
+    val numE = edges.values.map(_._1).sum
+    val cut = numE - loads.map(_.localEdges).sum
     VertexCutQuality(
       k = k,
       numVertices = g.numVertices,
@@ -142,15 +111,6 @@ object PartitionMetrics {
       trainVertexBalance = balance(loads.map(_.trainVerts)),
       perPart = loads,
     )
-  }
-
-  /** `loads` plus an empty load for each of the k partitions it lacks, in
-    * partition order: empty partitions still count toward the balance
-    * denominators.
-    */
-  private def withEmptyParts[L](loads: Seq[L], k: Int)(part: L => Int, empty: Int => L): Seq[L] = {
-    val present = loads.map(part).toSet
-    (loads ++ (0 until k).filterNot(present).map(empty)).sortBy(part)
   }
 
   /** max / mean — 1.0 is perfectly balanced. */

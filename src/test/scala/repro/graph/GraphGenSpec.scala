@@ -44,6 +44,13 @@ class GraphGenSpec extends SparkSpec {
     assert(b.edges.except(a.edges).count() === 0)
   }
 
+  test("powerLaw: keeps only the returned edge set cached") {
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val g = GraphGen.powerLaw(spark, "C", "t", 300, 1500, 1.0, directed = false, seed = 99)
+    g.edges.count()
+    assert(spark.sparkContext.getPersistentRDDs.size === before + 1)
+  }
+
   test("powerLaw: different seeds give different graphs") {
     val a = GraphGen.powerLaw(spark, "A", "t", 200, 800, 0.9, directed = false, seed = 5)
     val b = GraphGen.powerLaw(spark, "B", "t", 200, 800, 0.9, directed = false, seed = 6)

@@ -63,10 +63,10 @@ class GraphOpsSpec extends SparkSpec {
     assert(byRole("test") / n > 0.70)
   }
 
-  test("split is deterministic in the seed") {
+  test("split is deterministic") {
     val (g, _) = TestGraphs.smallPowerLaw(spark)
-    val a = GraphOps.split(g, spark, 7)
-    val b = GraphOps.split(g, spark, 7)
+    val a = GraphOps.split(g, spark)
+    val b = GraphOps.split(g, spark)
     assert(a.except(b).count() === 0)
   }
 

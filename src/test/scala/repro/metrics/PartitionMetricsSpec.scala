@@ -2,6 +2,7 @@ package repro.metrics
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.graph.GraphOps
 import repro.partition._
 import repro.partition.edge.RandomEdge
 import repro.partition.vertex.RandomVertex
@@ -13,13 +14,24 @@ class PartitionMetricsSpec extends SparkSpec {
     PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, k, 3).part)
   }
 
-  test("covers matches the DuckDB oracle") {
-    val df = edgeDf(4)
+  test("edge quality perPart matches DuckDB oracle, one part empty") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    // three parts used out of four: part 3 is empty
+    val df = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, 3, 3).part)
+    val q = PartitionMetrics.edgeCutQuality(g, df, 4)
     Oracle.assertEquivalent(
-      PartitionMetrics.covers(df),
-      """SELECT DISTINCT part, vid FROM (
-        |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep
-        |)""".stripMargin,
+      spark.createDataFrame(q.perPart),
+      """WITH cov AS (SELECT DISTINCT part, vid FROM (
+        |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep)),
+        |copies AS (SELECT vid, COUNT(*) AS c FROM cov GROUP BY vid),
+        |e AS (SELECT part, COUNT(*) AS edges FROM ep GROUP BY part),
+        |v AS (SELECT cov.part AS part, COUNT(*) AS verts, COUNT(*) FILTER (WHERE copies.c >= 2) AS syncVerts
+        |      FROM cov JOIN copies ON cov.vid = copies.vid GROUP BY cov.part)
+        |SELECT r.range AS part, COALESCE(e.edges, 0) AS edges, COALESCE(v.verts, 0) AS verts,
+        |       COALESCE(v.syncVerts, 0) AS syncVerts
+        |FROM range(4) r
+        |LEFT JOIN e ON CAST(e.part AS BIGINT) = r.range
+        |LEFT JOIN v ON CAST(v.part AS BIGINT) = r.range""".stripMargin,
       "ep" -> df,
     )
   }
@@ -71,23 +83,28 @@ class PartitionMetricsSpec extends SparkSpec {
     assert(q.perPart.head.syncVerts === 0) // nothing replicated
   }
 
-  test("syncVerts counts only vertices with >= 2 copies (oracle)") {
-    val (_, cg) = TestGraphs.smallPowerLaw(spark)
-    val df = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, 4, 3).part)
-    val cov = PartitionMetrics.covers(df)
-    val got = cov
-      .join(cov.groupBy("vid").agg(count(lit(1)) as "r"), "vid")
-      .filter(col("r") >= 2)
-      .groupBy("part")
-      .agg(count(lit(1)) as "syncVerts")
+  test("vertex quality perPart matches DuckDB oracle, one part empty") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    // three parts used out of four: part 3 is empty
+    val assign = RandomVertex.partition(cg, 3, new Array[Boolean](cg.numVertices), 3).part
+    val q = PartitionMetrics.vertexCutQuality(g, spark, PartitionBridge.vertexDf(spark, assign), 4)
+    val mask = GraphOps.trainMask(g, spark)
+    val vp = spark.createDataFrame(assign.indices.map(v => (v.toLong, assign(v), mask(v))))
+      .toDF("vid", "part", "train")
     Oracle.assertEquivalent(
-      got,
-      """WITH cov AS (SELECT DISTINCT part, vid FROM (
-        |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep)),
-        |r AS (SELECT vid, COUNT(*) AS c FROM cov GROUP BY vid)
-        |SELECT cov.part AS part, COUNT(*) AS syncVerts
-        |FROM cov JOIN r ON cov.vid = r.vid WHERE r.c >= 2 GROUP BY cov.part""".stripMargin,
-      "ep" -> df,
+      spark.createDataFrame(q.perPart),
+      """WITH v AS (SELECT part, COUNT(*) AS verts, COUNT(*) FILTER (WHERE train = 'true') AS trainVerts
+        |           FROM vp GROUP BY part),
+        |l AS (SELECT a.part AS part, COUNT(*) AS localEdges FROM edges e
+        |      JOIN vp a ON e.src = a.vid JOIN vp b ON e.dst = b.vid
+        |      WHERE a.part = b.part GROUP BY a.part)
+        |SELECT r.range AS part, COALESCE(v.verts, 0) AS verts, COALESCE(v.trainVerts, 0) AS trainVerts,
+        |       COALESCE(l.localEdges, 0) AS localEdges
+        |FROM range(4) r
+        |LEFT JOIN v ON CAST(v.part AS BIGINT) = r.range
+        |LEFT JOIN l ON CAST(l.part AS BIGINT) = r.range""".stripMargin,
+      "edges" -> g.edges,
+      "vp" -> vp,
     )
   }
 
