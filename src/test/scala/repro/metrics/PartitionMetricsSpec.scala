@@ -36,6 +36,20 @@ class PartitionMetricsSpec extends SparkSpec {
     )
   }
 
+  test("covers matches the DuckDB oracle") {
+    // the per-part vertex count is the number of distinct vertices each part's edges cover
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val df = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, 4, 3).part)
+    val q = PartitionMetrics.edgeCutQuality(g, df, 4)
+    Oracle.assertEquivalent(
+      spark.createDataFrame(q.perPart).select("part", "verts"),
+      """SELECT part, COUNT(*) AS verts FROM (SELECT DISTINCT part, vid FROM (
+        |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep))
+        |GROUP BY part""".stripMargin,
+      "ep" -> df,
+    )
+  }
+
   test("per-partition edge counts match the DuckDB oracle") {
     val df = edgeDf(4)
     Oracle.assertEquivalent(
@@ -81,6 +95,21 @@ class PartitionMetricsSpec extends SparkSpec {
     val q = PartitionMetrics.edgeCutQuality(g, df, 1)
     assert(q.replicationFactor <= 1.0 + 1e-9)
     assert(q.perPart.head.syncVerts === 0) // nothing replicated
+  }
+
+  test("syncVerts counts only vertices with >= 2 copies (oracle)") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val df = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, 4, 3).part)
+    val q = PartitionMetrics.edgeCutQuality(g, df, 4)
+    Oracle.assertEquivalent(
+      spark.createDataFrame(q.perPart).select("part", "syncVerts"),
+      """WITH cov AS (SELECT DISTINCT part, vid FROM (
+        |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep)),
+        |r AS (SELECT vid, COUNT(*) AS c FROM cov GROUP BY vid)
+        |SELECT cov.part AS part, COUNT(*) AS syncVerts
+        |FROM cov JOIN r ON cov.vid = r.vid WHERE r.c >= 2 GROUP BY cov.part""".stripMargin,
+      "ep" -> df,
+    )
   }
 
   test("vertex quality perPart matches DuckDB oracle, one part empty") {
